@@ -33,7 +33,8 @@ func benchConfig() config.Config {
 }
 
 // runSim runs one simulation per benchmark iteration and reports throughput
-// and latency.
+// and latency. Every iteration simulates the configuration's own seed, so the
+// work, and the reported metrics, do not depend on b.N.
 func runSim(b *testing.B, cfg config.Config) {
 	b.Helper()
 	var last interface {
@@ -41,9 +42,7 @@ func runSim(b *testing.B, cfg config.Config) {
 	}
 	var accepted, latency float64
 	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Seed = int64(i + 1)
-		res, err := sim.RunOne(c)
+		res, err := sim.RunOne(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,14 +241,14 @@ func fig10Config(privateFraction float64) config.Config {
 	return cfg
 }
 
+// runSimAllowDeadlock is runSim for configurations that may deadlock: like
+// runSim it simulates the configuration's own seed on every iteration.
 func runSimAllowDeadlock(b *testing.B, cfg config.Config) {
 	b.Helper()
 	var accepted float64
 	deadlocks := 0
 	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Seed = int64(i + 1)
-		res, err := sim.RunOne(c)
+		res, err := sim.RunOne(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -275,6 +275,10 @@ func (b *InputBuffer) Head(vc int, now int64) packet.Ref {
 	return packet.NilRef
 }
 
+// HeadReady returns the cycle at which the head packet of a non-empty VC
+// becomes visible to the allocator; it panics on an empty VC.
+func (b *InputBuffer) HeadReady(vc int) int64 { return b.vcs[vc].queue.front().ready }
+
 // Dequeue removes and returns the head packet of the given VC together with
 // the routing kind recorded at reservation time. Note that the space it
 // occupied is only returned through ReleaseCredit (with that same kind).

@@ -24,7 +24,7 @@ func (e *benchEnv) DownstreamInput(r packet.RouterID, port int) *buffer.InputBuf
 func (e *benchEnv) ScheduleArrival(delay int64, to packet.RouterID, port, vc int, ref packet.Ref, kind packet.RouteKind) {
 }
 
-func (e *benchEnv) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind) {
+func (e *benchEnv) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind, up packet.RouterID, upPort int) {
 	buf.ReleaseCredit(vc, size, kind)
 }
 
@@ -55,9 +55,10 @@ func buildBenchRouter(b *testing.B) (*Router, *benchEnv, *topology.Dragonfly, *p
 }
 
 // drainDownstream releases every committed phit of the synthetic downstream
-// buffers so the router never stalls on credits between refills.
-func drainDownstream(env *benchEnv) {
-	for _, d := range env.downstream {
+// buffers so the router never stalls on credits between refills, waking the
+// router through its credit hook as the simulator does.
+func drainDownstream(rt *Router, env *benchEnv) {
+	for p, d := range env.downstream {
 		if d == nil {
 			continue
 		}
@@ -66,6 +67,7 @@ func drainDownstream(env *benchEnv) {
 				d.ReleaseCredit(vc, c, packet.Minimal)
 			}
 		}
+		rt.CreditReturned(p)
 	}
 }
 
@@ -95,34 +97,78 @@ func BenchmarkRouterStepBusy(b *testing.B) {
 		rt.Step(now)
 		if rt.ResidentPackets() == 0 {
 			b.StopTimer()
-			drainDownstream(env)
+			drainDownstream(rt, env)
 			refill(now)
 			b.StartTimer()
 		}
 	}
 }
 
-// BenchmarkVCActivity measures the incremental activity-list update on the
-// enqueue/dequeue path: port membership churn in the sorted live-port list
-// (binary insert and remove) plus the per-port VC occupancy mask. This is the
-// bookkeeping the simulator pays per packet movement in exchange for the
-// proposal pass iterating live VCs only; the gate pins it allocation-free.
+// BenchmarkRouterStepBlocked measures Router.Step when every head is blocked
+// on full downstream VCs: each iteration returns a one-phit credit, too
+// little for a packet, so the woken heads are re-evaluated once, fail and
+// park again. This is the saturated regime the wake-driven allocator targets.
+func BenchmarkRouterStepBlocked(b *testing.B) {
+	rt, env, topo, store := buildBenchRouter(b)
+	for _, d := range env.downstream {
+		if d == nil {
+			continue
+		}
+		for vc := 0; vc < d.NumVCs(); vc++ {
+			d.Reserve(vc, d.FreeFor(vc), packet.Minimal)
+		}
+	}
+	dst := topo.NodeAt(topo.RouterInGroup(1, 0), 0)
+	port := topo.NextMinimalPort(0, topo.RouterOfNode(dst))
+	inj := rt.Input(0)
+	for vc := 0; vc < inj.NumVCs(); vc++ {
+		for inj.FreeFor(vc) >= 8 {
+			ref := store.Alloc(1, topo.NodeAt(0, 0), dst, 8, packet.Request, 0)
+			hdr := store.Hdr(ref)
+			hdr.SrcRouter = 0
+			hdr.DstRouter = topo.RouterOfNode(dst)
+			inj.Reserve(vc, 8, packet.Minimal)
+			rt.EnqueueArrival(0, vc, ref, 0, packet.Minimal)
+		}
+	}
+	down := env.downstream[port]
+	rt.Step(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		down.ReleaseCredit(0, 1, packet.Minimal)
+		rt.CreditReturned(port)
+		rt.Step(int64(i))
+		down.Reserve(0, 1, packet.Minimal)
+	}
+	b.StopTimer()
+	if rt.Grants() != 0 {
+		b.Fatalf("a blocked head was granted (%d grants)", rt.Grants())
+	}
+}
+
+// BenchmarkVCActivity measures the incremental eligibility bookkeeping on the
+// enqueue/dequeue path: a new ready head sets its VC's bit in the port's
+// eligible mask and the port's bit in the eligible-port set, and its removal
+// clears both. This is what the simulator pays per packet movement in
+// exchange for the allocator visiting eligible VCs only; the gate pins it
+// allocation-free.
 func BenchmarkVCActivity(b *testing.B) {
 	rt, _, topo, _ := buildBenchRouter(b)
-	// Churn across several ports so inserts and removes hit different
-	// positions of the sorted list, not just the tail.
+	// Churn across several ports so port bits flip at different positions.
 	var ports [4]int
 	idx := 0
 	for p := 0; p < topo.Radix() && idx < len(ports); p += 2 {
 		ports[idx] = p
 		idx++
 	}
+	rt.clock = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := ports[i&3]
-		rt.noteEnqueue(p, i&1)
-		rt.noteDequeue(p, i&1)
+		rt.noteHead(p, i&1, 0)
+		rt.clearEligible(p, i&1)
 	}
 }
 

@@ -7,17 +7,21 @@ import (
 	"flexvc/internal/topology"
 )
 
-// FuzzVCActivity drives a router through arbitrary interleavings of the three
-// operations that mutate VC occupancy — enqueue (injection and link arrivals),
-// step (dequeues and credit consumption) and downstream credit release — and
-// after every operation asserts the incremental activity lists against the
-// brute-force scan (AuditActivity). This is the differential check backing
-// the activity-list optimisation: the lists must track buffer state exactly,
-// under every interleaving, not just the ones the simulator happens to emit.
+// FuzzVCActivity drives a router through arbitrary interleavings of the
+// operations that change what its allocator may do — enqueue (injection and
+// link arrivals, some not ready for a few cycles), step (grants, parking,
+// output and ejection pops) and downstream credit returns through the fake
+// environment's credit hook, one VC or all at once — and after every
+// operation checks the allocator's incremental state against the brute-force
+// scan (AuditActivity): eligibility, the not-ready list, the wait sets of
+// parked heads, and that no parked head could request (no missed wake). The
+// state must track buffer state exactly under every interleaving, not just
+// the ones the simulator happens to emit.
 func FuzzVCActivity(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 2, 3, 0, 0, 2, 2, 2, 1, 3, 2, 2})
 	f.Add([]byte{1, 1, 1, 2, 2, 2, 2, 3, 1, 2})
 	f.Add([]byte{0, 4, 8, 12, 2, 2, 2, 2, 2, 2, 3})
+	f.Add([]byte{5, 10, 15, 20, 25, 2, 2, 2, 2, 4, 2, 9, 2, 2, 14, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		rt, env, topo, store := buildRouter(t)
 		store.EnablePoison()
@@ -57,11 +61,12 @@ func FuzzVCActivity(f *testing.F) {
 			if port != 0 {
 				store.Route(ref).InputVC = int32(vc)
 			}
-			rt.EnqueueArrival(port, vc, ref, now, packet.Minimal)
+			// Some heads only become ready a few cycles on.
+			rt.EnqueueArrival(port, vc, ref, now+int64(id%4), packet.Minimal)
 		}
 		for i, op := range ops {
-			arg := int(op) >> 2
-			switch op % 4 {
+			arg := int(op) / 5
+			switch op % 5 {
 			case 0: // inject on the terminal port
 				enqueue(0, arg)
 			case 1: // arrival on a link port
@@ -72,12 +77,15 @@ func FuzzVCActivity(f *testing.F) {
 				rt.Step(now)
 				now++
 			case 3: // downstream drains: return every committed credit
-				for _, d := range env.downstream {
+				for p, d := range env.downstream {
 					for vc := 0; vc < d.NumVCs(); vc++ {
-						if c := d.CommittedOf(vc); c > 0 {
-							d.ReleaseCredit(vc, c, packet.Minimal)
-						}
+						env.returnCredits(rt, p, vc)
 					}
+				}
+			case 4: // one downstream VC returns its credits
+				if len(linkPorts) > 0 {
+					p := linkPorts[arg%len(linkPorts)]
+					env.returnCredits(rt, p, arg/len(linkPorts)%env.downstream[p].NumVCs())
 				}
 			}
 			if err := rt.AuditActivity(); err != nil {

@@ -13,6 +13,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -61,6 +62,10 @@ func (p Params) LinkLatency(kind topology.PortKind) int {
 	}
 }
 
+// MaxPortVCs is the largest number of VCs an input port may have: the
+// allocator keeps each port's eligible and parked VCs in one uint64 mask.
+const MaxPortVCs = 64
+
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if p.Speedup < 1 {
@@ -74,6 +79,9 @@ func (p Params) Validate() error {
 	}
 	if p.InjectionQueues < 1 {
 		return fmt.Errorf("router: need at least one injection queue")
+	}
+	if p.InjectionQueues > MaxPortVCs {
+		return fmt.Errorf("router: %d injection queues exceed the %d VCs a port may have", p.InjectionQueues, MaxPortVCs)
 	}
 	if p.NumClasses < 1 || p.NumClasses > packet.NumClasses {
 		return fmt.Errorf("router: invalid class count %d", p.NumClasses)
@@ -101,7 +109,8 @@ func (p Params) Validate() error {
 // and reader of its links' downstream credit counters (Reserve, FreeFor and
 // the congestion probes all act on the prober's own output ports). Credit
 // returns and arrivals mutate shared state only when the buffered events are
-// replayed, which happens in the serial phases of the cycle.
+// replayed, which happens in the serial phases of the cycle; replaying a
+// credit also calls CreditReturned on the upstream router it names.
 type Env interface {
 	// DownstreamInput returns the input buffer at the far end of output
 	// port `port` of router r (nil for terminal ports).
@@ -111,8 +120,10 @@ type Env interface {
 	// when the space was reserved.
 	ScheduleArrival(delay int64, to packet.RouterID, port, vc int, ref packet.Ref, kind packet.RouteKind)
 	// ScheduleCredit releases `size` phits of VC vc of buf after `delay`
-	// cycles.
-	ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind)
+	// cycles and then calls CreditReturned(upPort) on router up, the
+	// upstream end of buf's link (InvalidRouter for injection buffers,
+	// which have none).
+	ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind, up packet.RouterID, upPort int)
 	// ScheduleDelivery consumes the packet at its destination node after
 	// `delay` cycles.
 	ScheduleDelivery(delay int64, ref packet.Ref)
@@ -149,23 +160,32 @@ type Router struct {
 	down    []*buffer.InputBuffer
 	downSet []bool
 
-	// Activity lists drive the batched allocator: instead of probing every
-	// VC of every port each allocation iteration, the proposal pass visits
-	// only ports that actually hold packets (liveIn, a dense ascending-sorted
-	// list) and within each port only the occupied VCs (vcMask), and the
-	// transmit pass only ports with staged output work (xmit). The lists are
-	// pure occupancy bookkeeping, updated incrementally on enqueue and
-	// dequeue — skipping an empty port or VC is exactly what the probing loop
-	// would have concluded, and the sorted order reproduces the full scan's
-	// ascending port order, so results are bit-identical. Ports with more
-	// than 64 VCs (vcMaskOK false; unused in practice) scan all VCs of the
-	// live port. AuditActivity cross-checks list state against a brute-force
-	// scan in tests.
-	liveIn   portList
-	xmit     portList
-	inCount  []int32  // resident input packets per port
-	vcMask   []uint64 // per port: bit v set iff VC v holds >= 1 packet
-	vcMaskOK []bool   // vcMask[p] maintained (port has <= 64 VCs)
+	// Wake-driven allocation state (DESIGN.md, "Switch allocation"). The
+	// head of every occupied input VC is in exactly one of three states:
+	//   - not ready: listed in notReady until Step reaches its ready cycle;
+	//   - eligible: bit vc of masks[p].elig is set and the allocator
+	//     evaluates it every iteration;
+	//   - parked: its stable plan failed, bit vc of masks[p].parked is set
+	//     and its flat index port*vcStride+vc is in the wait set of every
+	//     output resource the plan names, until a pop of that output or
+	//     ejection buffer, or a credit returned to that output, wakes it.
+	// eligPorts has bit p set iff masks[p].elig != 0; walking it ascending
+	// and each port's eligible VCs from the round-robin pointer reproduces
+	// the full scan's order. AuditActivity cross-checks all of it against a
+	// brute-force scan in tests.
+	xmit      portList
+	masks     []vcMasks
+	eligPorts []uint64
+	// waitSets holds waitWords words per output resource (outKey order): a
+	// bitset over flat VC indices of the heads parked on that resource.
+	waitSets  []uint64
+	waitWords int
+	// notReady lists, by flat VC index, the heads whose ready cycle is after
+	// clock, at most one per VC; nextReady is their minimum ready cycle.
+	// clock is the cycle of the latest Step.
+	notReady  []int32
+	nextReady int64
+	clock     int64
 
 	inVCRR []int // round-robin pointer over VCs, per input port
 	outRR  []int // round-robin pointer over input ports, per output resource
@@ -176,27 +196,13 @@ type Router struct {
 	// Step of routers with no pending work.
 	pending int
 
-	// failStamp memoises failed proposals: failStamp[port*vcStride+vc]
-	// records now+1 when no request could be built for the head of that VC
-	// at cycle `now`. Within a cycle no buffer space is ever freed (credits
-	// return through events between cycles, output/ejection buffers drain
-	// after the last allocation iteration) and no new head can appear
-	// (arrivals enqueue between cycles), so a failed request stays failed
-	// for the remaining allocation iterations of the cycle and need not be
-	// rebuilt. Heads with an unstable routing decision (uncommitted PAR/PB
-	// packets) are never stamped: their decision re-senses occupancy, which
-	// does change as the cycle's grants land.
-	failStamp []int64
-	// portFail is the port-level analogue: a port none of whose VCs could
-	// propose (all of them stampable) is skipped for the rest of the cycle.
-	portFail []int64
 	// plans caches, per input VC (flat, port*vcStride+vc), the
 	// routing-stable part of the head packet's request (output port, allowed
 	// VC ranges, escape fallback). Occupancy-dependent checks are
-	// re-evaluated every cycle.
+	// re-evaluated whenever the head is eligible.
 	plans []vcPlan
-	// vcStride is the row stride of failStamp and plans: the maximum VC
-	// count over all input ports.
+	// vcStride is the row stride of plans and of the flat VC index: the
+	// maximum VC count over all input ports.
 	vcStride int
 
 	// vcCand is reusable scratch for selectVC's candidate list.
@@ -235,20 +241,26 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 	r.down = make([]*buffer.InputBuffer, r.numPorts)
 	r.downSet = make([]bool, r.numPorts)
 	r.inVCRR = make([]int, r.numPorts)
-	r.outRR = make([]int, r.numPorts*(1+params.NumClasses))
-	r.portFail = make([]int64, r.numPorts)
-	r.liveIn = newPortList(r.numPorts)
+	numKeys := r.numPorts * (1 + params.NumClasses)
+	r.outRR = make([]int, numKeys)
 	r.xmit = newPortList(r.numPorts)
-	r.inCount = make([]int32, r.numPorts)
-	r.vcMask = make([]uint64, r.numPorts)
-	r.vcMaskOK = make([]bool, r.numPorts)
+	r.masks = make([]vcMasks, r.numPorts)
+	r.eligPorts = make([]uint64, (r.numPorts+63)/64)
 	for p := 0; p < r.numPorts; p++ {
-		if n := r.portVCs(topo.PortKind(id, p)); n > r.vcStride {
+		n := r.portVCs(topo.PortKind(id, p))
+		if n > MaxPortVCs {
+			return nil, fmt.Errorf("router %d: port %d has %d VCs; a port may have at most %d", id, p, n, MaxPortVCs)
+		}
+		if n > r.vcStride {
 			r.vcStride = n
 		}
 	}
-	r.failStamp = make([]int64, r.numPorts*r.vcStride)
-	r.plans = make([]vcPlan, r.numPorts*r.vcStride)
+	flat := r.numPorts * r.vcStride
+	r.plans = make([]vcPlan, flat)
+	r.waitWords = (flat + 63) / 64
+	r.waitSets = make([]uint64, numKeys*r.waitWords)
+	r.notReady = make([]int32, 0, flat)
+	r.clock = math.MinInt64
 	for p := 0; p < r.numPorts; p++ {
 		kind := topo.PortKind(id, p)
 		numVCs := r.portVCs(kind)
@@ -259,7 +271,6 @@ func New(id packet.RouterID, topo topology.Topology, scheme core.Scheme, alg rou
 		if kind != topology.Terminal {
 			r.nbrs[p], r.nbrPorts[p] = topo.Neighbor(id, p)
 		}
-		r.vcMaskOK[p] = numVCs <= 64
 		r.inputs[p] = buffer.NewInputBuffer(params.BufferConfig(kind, numVCs))
 		if kind == topology.Terminal {
 			r.eject[p] = make([]*buffer.OutputBuffer, params.NumClasses)
@@ -317,31 +328,18 @@ func (r *Router) Input(port int) *buffer.InputBuffer { return r.inputs[port] }
 // reserved) and records the pending work, so Busy reports the router needs
 // stepping.
 func (r *Router) EnqueueArrival(port, vc int, ref packet.Ref, ready int64, kind packet.RouteKind) {
-	r.inputs[port].Enqueue(vc, ref, ready, kind)
+	in := r.inputs[port]
+	in.Enqueue(vc, ref, ready, kind)
 	r.pending++
-	r.noteEnqueue(port, vc)
-}
-
-// noteEnqueue updates the activity lists for a packet entering an input VC.
-func (r *Router) noteEnqueue(port, vc int) {
-	if r.inCount[port]++; r.inCount[port] == 1 {
-		r.liveIn.add(port)
-	}
-	if r.vcMaskOK[port] {
-		r.vcMask[port] |= 1 << uint(vc)
+	if in.QueueLen(vc) == 1 {
+		r.noteHead(port, vc, ready)
 	}
 }
 
-// noteDequeue updates the activity lists for a packet leaving an input VC.
-// It must run after the buffer dequeue (it re-checks the queue length).
-func (r *Router) noteDequeue(port, vc int) {
-	if r.vcMaskOK[port] && r.inputs[port].QueueLen(vc) == 0 {
-		r.vcMask[port] &^= 1 << uint(vc)
-	}
-	if r.inCount[port]--; r.inCount[port] == 0 {
-		r.liveIn.remove(port)
-	}
-}
+// CreditReturned wakes the heads parked on output port `port`: the
+// downstream buffer of that port has just regained space. The simulator calls
+// it when it replays a credit return, in the serial event phase.
+func (r *Router) CreditReturned(port int) { r.wake(port) }
 
 // Busy reports whether the router holds any packet (and therefore must be
 // stepped). Idle routers can safely be skipped: an empty router's Step is a
@@ -376,6 +374,10 @@ func (r *Router) Grants() int64 { return r.grantCount }
 // network may run them concurrently; cross-router effects are confined to
 // the Env.Schedule* calls, whose replay order the network controls.
 func (r *Router) Step(now int64) {
+	r.clock = now
+	if len(r.notReady) > 0 && r.nextReady <= now {
+		r.promoteReady(now)
+	}
 	for i := 0; i < r.params.Speedup; i++ {
 		r.allocate(now)
 	}
@@ -401,12 +403,18 @@ type request struct {
 }
 
 // outKey maps an output resource (a non-terminal port, or a terminal port's
-// per-class ejection channel) to an arbitration slot.
+// per-class ejection channel) to an arbitration slot. Wait sets use the same
+// slots.
 func (r *Router) outKey(req request) int {
 	if !req.terminal {
 		return req.outPort
 	}
-	return r.numPorts + req.outPort*r.params.NumClasses + req.class
+	return r.ejectKey(req.outPort, req.class)
+}
+
+// ejectKey is the slot of terminal port `port`'s ejection channel for class.
+func (r *Router) ejectKey(port, class int) int {
+	return r.numPorts + port*r.params.NumClasses + class
 }
 
 // allocate runs one iteration of the input-first separable allocator.
@@ -423,21 +431,21 @@ func (r *Router) allocate(now int64) {
 	st.proposals = st.proposals[:0]
 	st.touched = st.touched[:0]
 
-	// Phase 1 (batched): every live input port contributes at most one
-	// (VC, output) proposal built from its cached plan; ports holding no
-	// packets are absent from the activity list — identical to what probing
-	// them would conclude — and the list's sorted order reproduces the full
-	// scan's ascending port order. Grants only land after this loop, so the
-	// list is not mutated while it is being walked. Phase 2 (fused): each
-	// output resource keeps the proposal closest to its round-robin pointer.
-	live := r.liveIn.ports
-	for i := 0; i < len(live); i++ {
-		p := int(live[i])
-		if r.portFail[p] == now+1 {
-			continue
-		}
-		if req, ok := r.proposeFromPort(now, p); ok {
-			r.propose(st, req)
+	// Phase 1: every input port with an eligible VC contributes at most one
+	// (VC, output) proposal built from its cached plan, in ascending port
+	// order. Skipped VCs — empty, not ready or parked — are exactly those
+	// a full scan would find unable to request, at no side effect. Parking
+	// during the walk only clears bits of the port being visited, which the
+	// copied word has already consumed. Phase 2 (fused): each output
+	// resource keeps the proposal closest to its round-robin pointer.
+	for w := range r.eligPorts {
+		word := r.eligPorts[w]
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if req, ok := r.proposeFromPort(now, p); ok {
+				r.propose(st, req)
+			}
 		}
 	}
 	for _, key := range st.touched {
@@ -487,7 +495,9 @@ func (r *Router) rrDistance(key, inPort int) int {
 // a packet waiting at the head of a VC, is mutated exclusively by this
 // router's own Route/grant calls — so the plan stays valid until the head
 // changes. Occupancy checks (output buffer space, downstream credits, VC
-// selection) are re-evaluated every cycle from the plan.
+// selection) are re-evaluated from the plan whenever the head is eligible; a
+// stable plan that fails them parks the head until one of the resources it
+// names frees space.
 //
 // Plans are only reusable when the routing decision is provably stable:
 // MIN routing, or an adaptive packet that has already committed its decision
@@ -515,71 +525,33 @@ type vcPlan struct {
 	escLo, escHi int
 }
 
-// proposeFromPort picks the first requestable VC of an input port, starting
-// from its round-robin pointer. When it finds nothing, it records fail
-// stamps so the rest of the cycle skips the re-evaluation — but only for
-// heads whose routing decision is stable: an uncommitted adaptive (PAR/PB)
-// packet re-senses congestion on every allocation iteration, and occupancy
-// grows as the cycle's grants land, so its decision may legitimately change
-// within the cycle.
+// proposeFromPort picks the first requestable eligible VC of an input port,
+// visiting the eligible VCs in round-robin order: first the set bits at or
+// above the port's pointer, then those below it.
 func (r *Router) proposeFromPort(now int64, p int) (request, bool) {
-	in := r.inputs[p]
-	nvc := in.NumVCs()
-	fails := r.failStamp[p*r.vcStride : p*r.vcStride+nvc]
-	plans := r.plans[p*r.vcStride : p*r.vcStride+nvc]
-	stampable := true
-
-	if r.vcMaskOK[p] {
-		// Visit only occupied VCs, in the same round-robin order the probing
-		// loop used (start at the RR pointer, wrap around): first the set
-		// bits at or above the pointer, then the set bits below it. Empty
-		// VCs contribute nothing in either formulation.
-		start := r.inVCRR[p]
-		mask := r.vcMask[p]
-		for _, span := range [2]uint64{mask &^ (1<<uint(start) - 1), mask & (1<<uint(start) - 1)} {
-			for span != 0 {
-				vc := bits.TrailingZeros64(span)
-				span &^= 1 << uint(vc)
-				if req, ok, st := r.tryVC(now, in, fails, plans, p, vc, nvc); ok {
-					return req, true
-				} else if !st {
-					stampable = false
-				}
-			}
-		}
-	} else {
-		for k := 0; k < nvc; k++ {
-			vc := (r.inVCRR[p] + k) % nvc
-			if req, ok, st := r.tryVC(now, in, fails, plans, p, vc, nvc); ok {
+	start := uint(r.inVCRR[p])
+	mask := r.masks[p].elig
+	for _, span := range [2]uint64{mask &^ (1<<start - 1), mask & (1<<start - 1)} {
+		for span != 0 {
+			vc := bits.TrailingZeros64(span)
+			span &= span - 1
+			if req, ok := r.tryVC(now, p, vc); ok {
 				return req, true
-			} else if !st {
-				stampable = false
 			}
 		}
-	}
-	if stampable {
-		r.portFail[p] = now + 1
 	}
 	return request{}, false
 }
 
-// tryVC evaluates the head of one input VC against its cached plan. It
-// returns the request and ok on success; stampable is false when the head's
-// routing decision is adaptive-uncommitted and may legitimately change within
-// the cycle (such heads block the port-level fail stamp).
-func (r *Router) tryVC(now int64, in *buffer.InputBuffer, fails []int64, plans []vcPlan, p, vc, nvc int) (request, bool, bool) {
-	if fails[vc] == now+1 {
-		// This head already failed earlier this cycle and no space has
-		// been freed since; skip the re-evaluation.
-		return request{}, false, true
-	}
+// tryVC evaluates the eligible head of one input VC against its plan,
+// rebuilding the plan first when it is stale or unstable. A stable plan that
+// cannot request is parked: until a wake, every re-evaluation would fail the
+// same way. An uncommitted adaptive head stays eligible, because its decision
+// re-senses occupancy, which changes as the cycle's grants land.
+func (r *Router) tryVC(now int64, p, vc int) (request, bool) {
+	in := r.inputs[p]
 	ref := in.Head(vc, now)
-	if ref == packet.NilRef {
-		// Empty or not-yet-ready heads cannot change within the cycle
-		// (arrivals enqueue between cycles and ready times are fixed).
-		return request{}, false, true
-	}
-	plan := &plans[vc]
+	plan := &r.plans[p*r.vcStride+vc]
 	hdr := r.store.Hdr(ref)
 	if plan.ref != ref || plan.id != hdr.ID || !plan.stable {
 		r.buildPlan(p, ref, hdr, plan)
@@ -587,15 +559,14 @@ func (r *Router) tryVC(now int64, in *buffer.InputBuffer, fails []int64, plans [
 	req, ok := r.requestFromPlan(plan, p, vc, ref, int(hdr.Size))
 	if !ok {
 		if plan.stable {
-			fails[vc] = now + 1
-			return request{}, false, true
+			r.park(p, vc, plan)
 		}
-		return request{}, false, false
+		return request{}, false
 	}
 	// Advance the pointer past the requesting VC so other VCs get served
 	// in subsequent iterations even if this one keeps winning.
-	r.inVCRR[p] = (vc + 1) % nvc
-	return req, true, true
+	r.inVCRR[p] = (vc + 1) % in.NumVCs()
+	return req, true
 }
 
 // buildPlan resolves routing and VC management for the head packet of an
@@ -681,7 +652,10 @@ func (r *Router) planRange(p int, hdr *packet.Header, rt *packet.RouteState, out
 // requestFromPlan performs the per-cycle, occupancy-dependent half of
 // request building: ejection/output buffer admission and VC selection over
 // the plan's allowed range, falling back to the escape plan when the planned
-// continuation has no room.
+// continuation has no room. When it fails it has no side effect: admission
+// checks are pure and no selection function draws a random number unless
+// some candidate fits. Its outcome depends only on the free space of the
+// resources waitKeys names.
 func (r *Router) requestFromPlan(plan *vcPlan, p, vc int, ref packet.Ref, size int) (request, bool) {
 	if plan.deliver {
 		if !r.eject[plan.outPort][plan.class].CanAccept(size) {
@@ -730,13 +704,16 @@ func (r *Router) grant(now int64, req request) {
 		panic(fmt.Sprintf("router %d: allocator granted VC %d of port %d but its head changed", r.id, req.inVC, req.inPort))
 	}
 	r.grantCount++
-	r.noteDequeue(req.inPort, req.inVC)
+	r.clearEligible(req.inPort, req.inVC)
+	if in.QueueLen(req.inVC) > 0 {
+		r.noteHead(req.inPort, req.inVC, in.HeadReady(req.inVC))
+	}
 	r.xmit.add(req.outPort)
 
 	size := int(req.size)
 	transfer := int64((size + r.params.Speedup - 1) / r.params.Speedup)
 	creditDelay := transfer + r.linkLat[req.inPort]
-	r.env.ScheduleCredit(creditDelay, in, req.inVC, size, resKind)
+	r.env.ScheduleCredit(creditDelay, in, req.inVC, size, resKind, r.nbrs[req.inPort], r.nbrPorts[req.inPort])
 
 	rt := r.store.Route(ref)
 	if req.terminal {
@@ -810,6 +787,7 @@ func (r *Router) transmitLink(now int64, p int) {
 		return
 	}
 	r.outputs[p].Pop()
+	r.wake(p)
 	r.pending--
 	r.linkBusy[p] = now + int64(size)
 	r.env.ScheduleArrival(r.linkLat[p]+int64(size), r.nbrs[p], r.nbrPorts[p], destVC, ref, kind)
@@ -824,6 +802,7 @@ func (r *Router) transmitEject(now int64, p, c int) {
 		return
 	}
 	r.eject[p][c].Pop()
+	r.wake(r.ejectKey(p, c))
 	r.pending--
 	r.ejBusy[p][c] = now + int64(size)
 	r.env.ScheduleDelivery(int64(r.params.InjectionLatency+size), ref)

@@ -22,7 +22,8 @@ const (
 type event struct {
 	kind eventKind
 
-	// arrival
+	// arrival: the receiving router and input port; credit: the upstream
+	// router and output port to wake (InvalidRouter for injection buffers)
 	router packet.RouterID
 	port   int
 	vc     int
@@ -101,8 +102,8 @@ func (n *Network) ScheduleArrival(delay int64, to packet.RouterID, port, vc int,
 }
 
 // ScheduleCredit implements router.Env.
-func (n *Network) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind) {
-	n.wheel.schedule(n.now, delay, event{kind: evCredit, buf: buf, vc: vc, size: size, rkind: kind})
+func (n *Network) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind, up packet.RouterID, upPort int) {
+	n.wheel.schedule(n.now, delay, event{kind: evCredit, buf: buf, vc: vc, size: size, rkind: kind, router: up, port: upPort})
 }
 
 // ScheduleDelivery implements router.Env.

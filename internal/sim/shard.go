@@ -28,7 +28,8 @@ import (
 //     and read (FreeFor, congestion probes) only by the unique upstream
 //     neighbor router of that buffer's link — links are point-to-point, so
 //     writer and reader are the same router. Credit returns (ReleaseCredit)
-//     happen in the serial event phase.
+//     happen in the serial event phase, and so does the wake they send the
+//     upstream router (Router.CreditReturned).
 //   - PAR/PB congestion probes read only the prober's own output ports'
 //     downstream buffers, i.e. exactly the counters that router alone writes.
 //     The PB saturation table is published in pb.Update, which is serial.
@@ -80,8 +81,8 @@ func (s *shardState) ScheduleArrival(delay int64, to packet.RouterID, port, vc i
 }
 
 // ScheduleCredit implements router.Env, buffering into the shard.
-func (s *shardState) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind) {
-	s.pend = append(s.pend, pendEvent{delay, event{kind: evCredit, buf: buf, vc: vc, size: size, rkind: kind}})
+func (s *shardState) ScheduleCredit(delay int64, buf *buffer.InputBuffer, vc, size int, kind packet.RouteKind, up packet.RouterID, upPort int) {
+	s.pend = append(s.pend, pendEvent{delay, event{kind: evCredit, buf: buf, vc: vc, size: size, rkind: kind, router: up, port: upPort}})
 }
 
 // ScheduleDelivery implements router.Env, buffering into the shard.

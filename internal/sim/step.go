@@ -127,6 +127,9 @@ func (n *Network) processEvents() {
 			n.markRouterActive(ev.router)
 		case evCredit:
 			ev.buf.ReleaseCredit(ev.vc, ev.size, ev.rkind)
+			if ev.router != packet.InvalidRouter {
+				n.routers[ev.router].CreditReturned(ev.port)
+			}
 		case evDelivery:
 			n.deliver(ev.ref)
 		}
