@@ -72,12 +72,12 @@ ci: lint test race bench-check check-smoke
 # always checked; entries cheap enough to finish under -max-wall are also
 # re-simulated and byte-compared (transient-small and pb-policies-transient
 # today — fig5-small's ~50s re-run is nightly-only, see check-full). The
-# second pass re-runs the same entries with the network sharded 2 ways:
-# sharded and serial simulation are bit-identical by contract, so the sharded
-# re-run must reproduce the recorded artefacts byte for byte too.
+# second pass re-runs the same entries on a single worker: results are
+# bit-identical at any worker count, so the serial re-run must reproduce the
+# recorded artefacts byte for byte too.
 check-smoke:
 	$(GO) run ./cmd/figures check -max-wall 10s all
-	$(GO) run ./cmd/figures check -shards 2 -max-wall 10s all
+	$(GO) run ./cmd/figures check -workers 1 -max-wall 10s all
 
 # The full reproducibility verification (nightly): re-run every manifest
 # entry, however expensive, and byte-compare exports and rendered reports

@@ -204,7 +204,6 @@ func runCmd(args []string) error {
 		seeds      = fs.Int("seeds", 0, "independent replications per point (the paper uses 5; campaign specs may set their own default)")
 		parallel   = fs.Int("parallel", 0, "cap on sweep points in flight (0 = unbounded; a memory guard)")
 		workers    = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		shards     = fs.Int("shards", 0, "network shards per replication: 1 serial, 0 auto, N explicit (bit-identical at any value)")
 		quick      = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
 		resDir     = fs.String("results", "", "results directory (required): checkpoints + exported results JSON")
 		revision   = fs.String("revision", "", "source revision to stamp into the results (default: git rev-parse)")
@@ -291,7 +290,6 @@ func runCmd(args []string) error {
 			Seeds:       expSeeds,
 			Parallelism: *parallel,
 			Quick:       *quick,
-			Shards:      *shards,
 			Results:     store,
 			Metrics:     metrics,
 			Progress: func(p sweep.Progress) {
@@ -472,7 +470,6 @@ func legacyCmd(args []string) error {
 		seeds    = fs.Int("seeds", 1, "independent replications per point (the paper uses 5)")
 		parallel = fs.Int("parallel", 0, "cap on sweep points in flight (0 = unbounded; a memory guard)")
 		workers  = fs.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "network shards per replication: 1 serial, 0 auto, N explicit (bit-identical at any value)")
 		quick    = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
 		out      = fs.String("out", "", "directory to write one report file per experiment (default: stdout)")
 	)
@@ -490,7 +487,7 @@ func legacyCmd(args []string) error {
 	if *workers > 0 {
 		sim.SetWorkerBudget(*workers)
 	}
-	opts := sweep.Options{Scale: *scale, Seeds: *seeds, Parallelism: *parallel, Quick: *quick, Shards: *shards}
+	opts := sweep.Options{Scale: *scale, Seeds: *seeds, Parallelism: *parallel, Quick: *quick}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = sweep.IDs()

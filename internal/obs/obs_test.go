@@ -255,10 +255,10 @@ func TestMergeRejectsCorruptSnapshots(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`flexvc_sim_shard_busy_ns_total{shard="1"}`).Add(10)
-	r.Counter(`flexvc_sim_shard_busy_ns_total{shard="0"}`).Add(20)
+	r.Counter(`flexvc_sim_phase_wall_ns_total{phase="step"}`).Add(10)
+	r.Counter(`flexvc_sim_phase_wall_ns_total{phase="events"}`).Add(20)
 	r.Gauge("flexvc_sim_event_wheel_depth_hwm").Set(42)
-	r.Func("flexvc_sim_shard_imbalance_ratio", func() float64 { return 2.0 })
+	r.Func("flexvc_test_derived_ratio", func() float64 { return 2.0 })
 	h := r.Histogram("flexvc_results_put_latency_ns")
 	h.Observe(10)
 	h.Observe(10)
@@ -270,12 +270,12 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE flexvc_sim_shard_busy_ns_total counter\n",
-		`flexvc_sim_shard_busy_ns_total{shard="0"} 20` + "\n",
-		`flexvc_sim_shard_busy_ns_total{shard="1"} 10` + "\n",
+		"# TYPE flexvc_sim_phase_wall_ns_total counter\n",
+		`flexvc_sim_phase_wall_ns_total{phase="events"} 20` + "\n",
+		`flexvc_sim_phase_wall_ns_total{phase="step"} 10` + "\n",
 		"# TYPE flexvc_sim_event_wheel_depth_hwm gauge\n",
 		"flexvc_sim_event_wheel_depth_hwm 42\n",
-		"flexvc_sim_shard_imbalance_ratio 2\n",
+		"flexvc_test_derived_ratio 2\n",
 		"# TYPE flexvc_results_put_latency_ns histogram\n",
 		`flexvc_results_put_latency_ns_bucket{le="10"} 2` + "\n",
 		`flexvc_results_put_latency_ns_bucket{le="+Inf"} 3` + "\n",
@@ -287,7 +287,7 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 	// Labeled series of one family sort together under one TYPE line.
-	if strings.Count(out, "# TYPE flexvc_sim_shard_busy_ns_total") != 1 {
+	if strings.Count(out, "# TYPE flexvc_sim_phase_wall_ns_total") != 1 {
 		t.Fatalf("family TYPE line not deduplicated:\n%s", out)
 	}
 	// Byte-determinism across scrapes of unchanged metrics.

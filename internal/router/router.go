@@ -96,21 +96,18 @@ func (p Params) Validate() error {
 }
 
 // Env is the interface the router uses to interact with the rest of the
-// simulated network; it is implemented by internal/sim (directly for the
-// serial cycle loop, and by per-shard wrappers that buffer the Schedule*
-// calls for the parallel loop — see internal/sim/shard.go).
+// simulated network; internal/sim's Network implements it.
 //
-// Concurrency contract: Step calls Env methods only. When the network shards
-// the stepping phase, routers of different shards call their own Env
-// concurrently; everything else a Step touches is either private to the
-// router (input queues, PRNG, allocation scratch, VC-plan caches), immutable
-// during a run (topology, route tables, core.Manager, the wiring behind
-// DownstreamInput), or owned by this router as the unique upstream writer
-// and reader of its links' downstream credit counters (Reserve, FreeFor and
-// the congestion probes all act on the prober's own output ports). Credit
-// returns and arrivals mutate shared state only when the buffered events are
-// replayed, which happens in the serial phases of the cycle; replaying a
-// credit also calls CreditReturned on the upstream router it names.
+// Concurrency contract: serial. The cycle loop steps one router at a time,
+// and Step calls Env methods only from that loop. Everything else a Step
+// touches is either private to the router (input queues, PRNG, allocation
+// scratch, VC-plan caches), immutable during a run (topology, route tables,
+// core.Manager, the wiring behind DownstreamInput), or owned by this router
+// as the upstream writer and reader of its links' downstream credit counters
+// (Reserve, FreeFor and the congestion probes all act on the prober's own
+// output ports). Scheduled arrivals and credit returns mutate shared state
+// only when the event phase replays them; replaying a credit also calls
+// CreditReturned on the upstream router it names.
 type Env interface {
 	// DownstreamInput returns the input buffer at the far end of output
 	// port `port` of router r (nil for terminal ports).
@@ -369,10 +366,9 @@ func (r *Router) ResidentPackets() int {
 func (r *Router) Grants() int64 { return r.grantCount }
 
 // Step advances the router by one cycle: `speedup` allocation iterations
-// followed by link transmission. Steps of distinct routers within one cycle
-// are mutually conflict-free (see the Env concurrency contract), so the
-// network may run them concurrently; cross-router effects are confined to
-// the Env.Schedule* calls, whose replay order the network controls.
+// followed by link transmission. Cross-router effects are confined to the
+// Env.Schedule* calls, whose replay order the network controls (see the Env
+// concurrency contract).
 func (r *Router) Step(now int64) {
 	r.clock = now
 	if len(r.notReady) > 0 && r.nextReady <= now {

@@ -16,7 +16,7 @@ import (
 // right upstream router and port. A wrong or missing wake leaves a parked head
 // that could request, which the audit reports. The cases cover escape plans
 // (opportunistic Valiant), uncommitted adaptive heads (PAR), two ejection
-// classes (reactive traffic), a shared DAMQ pool and the sharded loop.
+// classes (reactive traffic) and a shared DAMQ pool.
 func TestAllocatorAuditInNetwork(t *testing.T) {
 	cases := []struct {
 		name string
@@ -38,10 +38,9 @@ func TestAllocatorAuditInNetwork(t *testing.T) {
 			c.Reactive = true
 			c.Scheme = core.Scheme{Policy: core.FlexVC, VCs: core.TwoClass(3, 2, 2, 1), Selection: core.HighestVC}
 		}},
-		{"damq MIN 2/1 bursty, 2 shards", func(c *config.Config) {
+		{"damq MIN 2/1 bursty", func(c *config.Config) {
 			c.Traffic = config.TrafficBursty
 			c.BufferOrg = buffer.DAMQ
-			c.Shards = 2
 		}},
 	}
 	for _, c := range cases {

@@ -44,8 +44,7 @@ type eventWheel struct {
 	horizon int64
 	// count tracks the queued events incrementally (schedule adds, take
 	// subtracts), so the metrics layer can sample the wheel depth without the
-	// O(horizon) scan of pending(). All wheel mutation happens in serial
-	// phases (the sharded loop buffers and flushes serially), so a plain
+	// O(horizon) scan of pending(). The cycle loop is serial, so a plain
 	// int64 suffices.
 	count int64
 }

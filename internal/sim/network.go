@@ -61,12 +61,6 @@ type Network struct {
 	// does not arbitrate at every node every cycle. Order is irrelevant:
 	// injection at a node only touches that node's own terminal port.
 	pendingNodes []packet.NodeID
-	// shards, when longer than 1, holds the contiguous router-ID blocks the
-	// stepping phase runs in parallel (see shard.go); empty means the serial
-	// loop. shardSlots bounds the goroutines one Step may use — Run lowers
-	// it to 1 + the extra worker-budget tokens it could borrow.
-	shards     []*shardState
-	shardSlots int
 
 	wheel     eventWheel
 	collector *stats.Collector
@@ -84,8 +78,8 @@ type Network struct {
 // first.
 func New(cfg config.Config) (*Network, error) { return newNetwork(cfg, nil) }
 
-// newNetwork builds a network, optionally drawing its packet store, telemetry
-// arena and shard event buffers from a recycled scratch set (see scratch.go).
+// newNetwork builds a network, optionally drawing its packet store and
+// telemetry arena from a recycled scratch set (see scratch.go).
 // RunOne is the pooled path; New passes nil and allocates fresh.
 func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
@@ -181,13 +175,7 @@ func newNetwork(cfg config.Config, sc *scratch) (*Network, error) {
 		n.downInput[r] = row
 	}
 
-	// Sharded stepping (config.Shards): repartition the routers into
-	// contiguous blocks and point their environments at per-shard event
-	// buffers. Must come after the downInput wiring above — shard
-	// environments delegate downstream lookups to it.
-	count, align := shardPlan(cfg, topo)
-	n.buildShards(count, align, sc)
-	n.metrics = newSimMetrics(cfg.Metrics, n.Shards())
+	n.metrics = newSimMetrics(cfg.Metrics)
 
 	n.nodes = make([]nodeState, topo.NumNodes())
 	n.activeRouter = make([]bool, topo.NumRouters())
@@ -277,3 +265,7 @@ func (n *Network) Collector() *stats.Collector { return n.collector }
 
 // Store exposes the packet arena, for tests and probes.
 func (n *Network) Store() *packet.Store { return n.store }
+
+// Shards reports how many goroutines step one cycle: always 1, the cycle
+// loop is serial. Replications parallelise across the worker budget instead.
+func (n *Network) Shards() int { return 1 }

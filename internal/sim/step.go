@@ -50,56 +50,39 @@ func (q *pktFIFO) reset() { q.items = q.items[:0]; q.head = 0 }
 //     transmission); idle routers are skipped — an empty router's Step is a
 //     no-op that consumes no randomness, so skipping it cannot change results
 //
-// Phases 1–3 are serial. Phase 4 steps routers in ascending identifier order;
-// with sharding enabled (config.Shards, see shard.go) contiguous router-ID
-// blocks step concurrently. Router steps are mutually conflict-free within a
-// cycle — a router's grants consume credits of the downstream buffers that
-// only it writes and probes, queue state is owner-only, and credit returns
-// ride the event wheel into the next serial phase — so the router order
-// influences results solely through the order events are appended to the
-// wheel (a slot's append order is the order processEvents replays it).
-// The serial loop appends in ascending router-ID order; the sharded loop
-// buffers each shard's events and flushes them in ascending shard order,
-// reproducing the identical wheel order. Sharded and serial runs are
-// therefore bit-identical.
+// Routers step in ascending identifier order, and the order in which they
+// append events to the wheel is the order processEvents replays them, so
+// that order is part of the result.
 //
-// With a metrics registry attached (config.Metrics) the instrumented twin
-// stepTimed runs instead: identical phase sequence, plus wall-clock reads
-// between phases. Metrics only observe — they never feed back into simulated
-// state — so instrumented and plain runs are bit-identical too (locked by
-// TestMetricsExportInvariant).
+// With a metrics registry attached (config.Metrics) the wall time of each
+// phase, the cycle count and the wheel-depth high-water mark are recorded.
+// The timing calls are nil-safe: without a registry they never read the
+// clock and allocate nothing (TestStepAllocsMetricsOnOff). Metrics only
+// observe — they never feed back into simulated state — so instrumented and
+// plain runs are bit-identical (locked by TestMetricsExportInvariant).
 func (n *Network) Step() {
-	if n.metrics != nil {
-		n.stepTimed()
-		return
-	}
+	m := n.metrics
+	t := m.clock()
 	n.processEvents()
+	t = m.lap(phaseEvents, t)
 	n.inject()
+	t = m.lap(phaseInject, t)
 	if n.pb != nil {
 		n.pb.Update(n.now)
 	}
-	if len(n.shards) > 1 {
-		n.stepSharded()
-	} else {
-		n.stepBlock(0, len(n.routers))
-	}
-	n.now++
-}
-
-// stepBlock steps the busy routers of the ID range [lo, hi) in ascending
-// order. It is the phase-4 body for both the serial loop (the full range) and
-// one shard of the parallel loop.
-func (n *Network) stepBlock(lo, hi int) {
-	for id := lo; id < hi; id++ {
+	t = m.lap(phasePB, t)
+	for id, r := range n.routers {
 		if !n.activeRouter[id] {
 			continue
 		}
-		r := n.routers[id]
 		r.Step(n.now)
 		if !r.Busy() {
 			n.activeRouter[id] = false
 		}
 	}
+	m.lap(phaseStep, t)
+	m.endCycle(n.wheel.count)
+	n.now++
 }
 
 // markRouterActive flags a router for stepping; it stays flagged until a Step
